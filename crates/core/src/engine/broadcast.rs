@@ -15,10 +15,13 @@ use crate::error::SimRankError;
 use crate::queries::{forward_seed, query_seed, score_pair, weighted_support};
 use pasco_cluster::{Broadcast, Cluster, ClusterConfig, ClusterReport};
 use pasco_graph::partition::Partitioner;
-use pasco_graph::{CsrGraph, NodeId, ReverseChainIndex};
+use pasco_graph::{CsrGraph, GraphSampler, NodeId, ReverseChainIndex};
 use pasco_mc::counts::{CountMap, MassMap};
+use pasco_mc::forward::forward_walks_on;
 use pasco_mc::rng::mix;
-use pasco_mc::walks::{reverse_walk_distributions, StepDistributions, WalkParams};
+use pasco_mc::walks::{
+    reverse_walk_distributions, reverse_walk_histograms_on, StepDistributions, WalkParams,
+};
 use std::sync::Arc;
 
 /// Materialised `aᵢ` rows, grouped per node-range task.
@@ -177,26 +180,11 @@ impl BroadcastEngine {
             .map(|k| (k * chunk, ((k + 1) * chunk).min(cfg.r_query)))
             .filter(|&(lo, hi)| lo < hi)
             .collect();
-        let graph = &self.graph;
+        let graph: &CsrGraph = &self.graph;
         let t_steps = cfg.t;
         let partials: Vec<Vec<Vec<(u32, u64)>>> =
             self.cluster.run_stage("query/cohort", ranges, |_, (w_lo, w_hi)| {
-                let mut maps: Vec<CountMap> =
-                    (0..t_steps).map(|_| CountMap::with_capacity((w_hi - w_lo) as usize)).collect();
-                for w in w_lo..w_hi {
-                    let key = pasco_mc::walks::walker_key(seed, source, w);
-                    let mut pos = source;
-                    for t in 1..=t_steps {
-                        match pasco_mc::walks::reverse_step(graph, pos, key, t as u32) {
-                            Some(next) => {
-                                pos = next;
-                                maps[t - 1].add(pos, 1);
-                            }
-                            None => break,
-                        }
-                    }
-                }
-                maps.into_iter().map(|m| m.into_sorted_vec()).collect()
+                reverse_walk_histograms_on(graph, source, w_lo..w_hi, t_steps, seed)
             });
         // Merge per-step histograms across tasks.
         let mut counts = Vec::with_capacity(t_steps + 1);
@@ -247,22 +235,20 @@ impl BroadcastEngine {
             out[i as usize] = 1.0;
             return out;
         }
-        let graph = &self.graph;
-        let rci = &self.rci;
+        let sampler = GraphSampler::new(&self.graph, &self.rci);
         let partials: Vec<Vec<(u32, f64)>> =
             self.cluster.run_stage("query/forward", batches, |_, batch| {
                 let mut acc = MassMap::with_capacity(batch.len() * 4);
-                for (t, ct, k, yk, nk) in batch {
+                // A batch is a slice of the (t, entry)-ordered item list:
+                // walk each run of one term's items as one step-major batch.
+                for run in batch.chunk_by(|a, b| a.0 == b.0) {
+                    let (t, ct) = (run[0].0, run[0].1);
                     let seed = forward_seed(cfg, i, t);
-                    let per = yk / nk as f64;
-                    for w in 0..nk {
-                        let key = mix(&[seed, k as u64, w as u64, t as u64]);
-                        if let Some((node, mass)) =
-                            pasco_mc::forward::forward_walk(graph, rci, k, per, t, key)
-                        {
-                            acc.add(node, ct * mass);
-                        }
-                    }
+                    let walkers = run.iter().flat_map(|&(_, _, k, yk, nk)| {
+                        let per = yk / nk as f64;
+                        (0..nk).map(move |w| (k, per, mix(&[seed, k as u64, w as u64, t as u64])))
+                    });
+                    forward_walks_on(&sampler, walkers, t, |node, mass| acc.add(node, ct * mass));
                 }
                 acc.into_sorted_vec()
             });

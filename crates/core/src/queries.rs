@@ -18,7 +18,7 @@
 use crate::config::SimRankConfig;
 use pasco_graph::{CsrGraph, ForwardSampler, GraphSampler, NodeId, ReverseChainIndex};
 use pasco_mc::counts::MassMap;
-use pasco_mc::forward::{forward_walk, forward_walk_on, push_measure};
+use pasco_mc::forward::{forward_walks_on, push_measure};
 use pasco_mc::rng::mix;
 use pasco_mc::walks::{reverse_walk_distributions, StepDistributions, WalkParams};
 
@@ -151,29 +151,44 @@ pub fn single_source_from_dists_on<S: ForwardSampler>(
     cfg: &SimRankConfig,
 ) -> Vec<f64> {
     let mut out = vec![0.0f64; n];
+    forward_stage_on(sampler, dists, diag, cfg, |node, mass| out[node as usize] += mass);
+    out[dists.source as usize] = 1.0;
+    out
+}
+
+/// The forward stage of MCSS for one cohort, shared by the dense and the
+/// sparse accumulators: calls `emit(node, cᵗ·mass)` for every term of the
+/// series `Σ_t cᵗ (Pᵀ)ᵗ (D ûₜ)` — the `t = 0` support as is, then for each
+/// `t ≥ 1` every surviving walker of [`forward_allocation`]'s walkers,
+/// keyed by [`forward_seed`] and advanced step-major by
+/// [`forward_walks_on`]. Emission follows allocation order, walker by
+/// walker, so each accumulator sums its f64s in one fixed order on every
+/// engine.
+fn forward_stage_on<S: ForwardSampler>(
+    sampler: &S,
+    dists: &StepDistributions,
+    diag: &[f64],
+    cfg: &SimRankConfig,
+    mut emit: impl FnMut(NodeId, f64),
+) {
     let mut ct = 1.0;
     for t in 0..=cfg.t {
         let y = weighted_support(dists, t, diag);
         if t == 0 {
             for &(k, m) in &y {
-                out[k as usize] += ct * m;
+                emit(k, ct * m);
             }
         } else {
             let seed = forward_seed(cfg, dists.source, t);
-            for (k, yk, nk) in forward_allocation(&y, cfg.r_forward) {
-                let per = yk / nk as f64;
-                for w in 0..nk {
-                    let key = mix(&[seed, k as u64, w as u64, t as u64]);
-                    if let Some((node, mass)) = forward_walk_on(sampler, k, per, t, key) {
-                        out[node as usize] += ct * mass;
-                    }
-                }
-            }
+            let walkers =
+                forward_allocation(&y, cfg.r_forward).into_iter().flat_map(|(k, yk, nk)| {
+                    let per = yk / nk as f64;
+                    (0..nk).map(move |w| (k, per, mix(&[seed, k as u64, w as u64, t as u64])))
+                });
+            forward_walks_on(sampler, walkers, t, |node, mass| emit(node, ct * mass));
         }
         ct *= cfg.c;
     }
-    out[dists.source as usize] = 1.0;
-    out
 }
 
 /// MCSS: the single-source query (Monte-Carlo forward propagation).
@@ -215,19 +230,6 @@ pub fn single_source_push(
     out
 }
 
-/// One mass-carrying forward walk used by MCSS (re-exported kernel for the
-/// cluster engines, which must replay identical trajectories).
-pub fn forward_walk_kernel(
-    graph: &CsrGraph,
-    rci: &ReverseChainIndex,
-    start: NodeId,
-    mass: f64,
-    steps: usize,
-    key: u64,
-) -> Option<(NodeId, f64)> {
-    forward_walk(graph, rci, start, mass, steps, key)
-}
-
 /// Sparse MCSS: like [`single_source`] but accumulating only the nodes any
 /// walker actually reaches (`O(T²·R′)` entries) instead of a dense length-n
 /// vector — the right shape for top-`k` retrieval on very large graphs.
@@ -258,27 +260,7 @@ pub fn sparse_masses_on<S: ForwardSampler>(
     cfg: &SimRankConfig,
 ) -> MassMap {
     let mut acc = MassMap::with_capacity(cfg.r_forward as usize);
-    let mut ct = 1.0;
-    for t in 0..=cfg.t {
-        let y = weighted_support(dists, t, diag);
-        if t == 0 {
-            for &(kk, m) in &y {
-                acc.add(kk, ct * m);
-            }
-        } else {
-            let seed = forward_seed(cfg, dists.source, t);
-            for (kk, yk, nk) in forward_allocation(&y, cfg.r_forward) {
-                let per = yk / nk as f64;
-                for w in 0..nk {
-                    let key = mix(&[seed, kk as u64, w as u64, t as u64]);
-                    if let Some((node, mass)) = forward_walk_on(sampler, kk, per, t, key) {
-                        acc.add(node, ct * mass);
-                    }
-                }
-            }
-        }
-        ct *= cfg.c;
-    }
+    forward_stage_on(sampler, dists, diag, cfg, |node, mass| acc.add(node, mass));
     acc
 }
 

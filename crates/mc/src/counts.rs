@@ -124,7 +124,8 @@ impl<V: Accumulate> OpenMap<V> {
     /// Drains into a `(key, value)` vector sorted by key. Sorting makes
     /// downstream dot products and cross-mode equality tests deterministic.
     pub fn into_sorted_vec(self) -> Vec<(NodeId, V)> {
-        let mut out: Vec<(NodeId, V)> = self.iter().collect();
+        let mut out = Vec::with_capacity(self.len);
+        out.extend(self.iter());
         out.sort_unstable_by_key(|&(k, _)| k);
         out
     }

@@ -9,6 +9,15 @@
 //! `O(T²R′ log d)` bound) and multiplies its mass by `W_k`. Walkers whose
 //! node has no out-edges drop their mass, matching the exact operator
 //! (`(Pᵀ)ᵗ y` assigns nothing through missing edges).
+//!
+//! [`forward_walks_on`] runs a whole batch of walkers *step-major*: per step
+//! it first gathers `outflow` for every live walker, then samples every live
+//! walker's next node, compacting the walkers that fell off in place, so the
+//! independent loads of different walkers overlap their cache misses. Each
+//! walker multiplies the same factors in the same order as the one-walker
+//! [`forward_walk_on`], and survivors are emitted in the order the walkers
+//! were given, so a caller's f64 sums come out bit-identical to a
+//! walker-at-a-time loop.
 
 use crate::counts::MassMap;
 use crate::rng::SplitMix64;
@@ -38,9 +47,10 @@ pub fn forward_walk(
     forward_walk_on(&GraphSampler::new(graph, index), start, mass, steps, key)
 }
 
-/// [`forward_walk`] generic over the sampling source — the one kernel
-/// behind the resident-graph engines *and* the sharded engine's routed
-/// [`pasco_graph::partitioned::PartitionedView`].
+/// [`forward_walk`] generic over the sampling source: one walker at a
+/// time, the reference the step-major [`forward_walks_on`] is tested
+/// against. The walk ends where `pos` has no out-edges — `outflow == 0`,
+/// equivalently `sample_out == None` under the [`ForwardSampler`] contract.
 #[inline]
 pub fn forward_walk_on<S: ForwardSampler>(
     sampler: &S,
@@ -56,16 +66,63 @@ pub fn forward_walk_on<S: ForwardSampler>(
         if w == 0.0 {
             return None;
         }
-        let r = forward_step_r(key, t as u32);
-        // `outflow(pos) > 0` (checked above) implies at least one
-        // out-edge, so the sample always lands; an error return here
-        // would put a branch in the per-step hot loop for a state the
-        // sampler contract rules out.
-        // pasco-lint: allow(panic-reachable-in-serving)
-        pos = sampler.sample_out(pos, r).expect("outflow > 0 implies out-edges");
+        pos = sampler.sample_out(pos, forward_step_r(key, t as u32))?;
         m *= w;
     }
     Some((pos, m))
+}
+
+/// One walker of a [`forward_walks_on`] batch.
+struct Walker {
+    pos: NodeId,
+    mass: f64,
+    key: u64,
+    outflow: f64,
+}
+
+/// The step-major forward kernel: runs every `(start, mass, key)` walker
+/// for `steps` steps and calls `emit(node, mass)` for each survivor, in
+/// the order the walkers were given.
+///
+/// Each step first gathers `outflow` for every live walker, then samples
+/// every live walker's next node, compacting walkers that fell off the
+/// graph out in place. The gathers of different walkers are independent
+/// loads, so their cache misses overlap instead of each walker chasing
+/// its own chain alone. A walker's trajectory and mass are exactly those
+/// of [`forward_walk_on`] with the same key (the same products in the same
+/// order), and compaction is stable, so a caller summing the emitted
+/// masses gets the walker-at-a-time sums bit for bit.
+pub fn forward_walks_on<S: ForwardSampler>(
+    sampler: &S,
+    walkers: impl IntoIterator<Item = (NodeId, f64, u64)>,
+    steps: usize,
+    mut emit: impl FnMut(NodeId, f64),
+) {
+    let mut live: Vec<Walker> = walkers
+        .into_iter()
+        .map(|(pos, mass, key)| Walker { pos, mass, key, outflow: 0.0 })
+        .collect();
+    for t in 1..=steps as u32 {
+        for w in &mut live {
+            w.outflow = sampler.outflow(w.pos);
+        }
+        live.retain_mut(|w| {
+            if w.outflow == 0.0 {
+                return false;
+            }
+            match sampler.sample_out(w.pos, forward_step_r(w.key, t)) {
+                Some(next) => {
+                    w.pos = next;
+                    w.mass *= w.outflow;
+                    true
+                }
+                None => false,
+            }
+        });
+    }
+    for w in &live {
+        emit(w.pos, w.mass);
+    }
 }
 
 /// Estimates `z = (Pᵀ)ᵗ y` for a sparse measure `y`, spending `walkers`
@@ -85,19 +142,15 @@ pub fn propagate_measure(
     if steps == 0 {
         return y.to_vec();
     }
-    let mut acc = MassMap::with_capacity(y.len() * walkers as usize / 4 + 16);
-    for &(k, yk) in y {
-        if yk == 0.0 {
-            continue;
-        }
+    let launch = y.iter().filter(|&&(_, yk)| yk != 0.0).flat_map(|&(k, yk)| {
         let per = yk / walkers as f64;
-        for w in 0..walkers {
-            let key = crate::rng::mix(&[seed, k as u64, w as u64, steps as u64]);
-            if let Some((node, mass)) = forward_walk(graph, index, k, per, steps, key) {
-                acc.add(node, mass);
-            }
-        }
-    }
+        (0..walkers)
+            .map(move |w| (k, per, crate::rng::mix(&[seed, k as u64, w as u64, steps as u64])))
+    });
+    let mut acc = MassMap::with_capacity(y.len() * walkers as usize / 4 + 16);
+    forward_walks_on(&GraphSampler::new(graph, index), launch, steps, |node, mass| {
+        acc.add(node, mass)
+    });
     acc.into_sorted_vec()
 }
 
@@ -258,6 +311,26 @@ mod tests {
         let g = generators::cycle(5);
         let u = reverse_push_measure_steps(&g, &[(0, 1.0)], 3);
         assert_eq!(u, vec![(2, 1.0)]); // (0 - 3) mod 5
+    }
+
+    #[test]
+    fn batch_walks_match_single_walker_walks() {
+        // rmat leaves nodes without out-edges, so some walkers die early.
+        let g = generators::rmat(8, 900, generators::RmatParams::default(), 3);
+        let idx = ReverseChainIndex::build(&g);
+        let sampler = GraphSampler::new(&g, &idx);
+        let launch: Vec<(NodeId, f64, u64)> =
+            (0..400u64).map(|w| ((w * 37 % 256) as NodeId, 0.5 + w as f64, w * 0x9e37)).collect();
+        for steps in [0, 1, 6] {
+            let mut got = Vec::new();
+            forward_walks_on(&sampler, launch.iter().copied(), steps, |v, m| got.push((v, m)));
+            let want: Vec<(NodeId, f64)> = launch
+                .iter()
+                .filter_map(|&(k, m, key)| forward_walk(&g, &idx, k, m, steps, key))
+                .collect();
+            assert_eq!(got, want, "steps {steps}");
+            assert!(steps < 6 || want.len() < launch.len(), "some walkers must die");
+        }
     }
 
     #[test]

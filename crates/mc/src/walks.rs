@@ -10,10 +10,20 @@
 //! they are simulated locally, on a broadcast worker pool, or shuffled
 //! across RDD partitions step by step — the property the cross-mode equality
 //! tests rely on.
+//!
+//! The cohort kernel ([`reverse_walk_histograms_on`]) is *step-major*: it
+//! keeps the live walkers' positions and keys in one array, advances every
+//! live walker once per step, and compacts dead walkers out in place. A
+//! walker-at-a-time loop chases `T` dependent cache misses per walker; here
+//! the loads of different walkers are independent, so their misses overlap.
+//! Each step's histogram is the sorted positions, run-length counted into a
+//! `Vec` of exactly its distinct length. Counts are integer sums, so the
+//! order walkers are visited in cannot change a bit: the cohort equals the
+//! sum of its walkers' [`reverse_walk_path`]s.
 
-use crate::counts::CountMap;
 use crate::rng::{mix, SplitMix64};
 use pasco_graph::{CsrGraph, NodeId, WalkAdjacency};
+use std::ops::Range;
 
 /// Walk-cohort parameters: `steps` is the paper's `T`, `walkers` its `R`
 /// (indexing) or `R'` (queries).
@@ -119,25 +129,60 @@ pub fn reverse_walk_distributions_on<G: WalkAdjacency>(
     params: WalkParams,
     seed: u64,
 ) -> StepDistributions {
-    assert!(source < graph.node_count(), "source out of range");
-    let mut maps: Vec<CountMap> =
-        (0..params.steps).map(|_| CountMap::with_capacity(params.walkers as usize)).collect();
-    for w in 0..params.walkers {
-        let key = walker_key(seed, source, w);
-        let mut pos = source;
-        for t in 1..=params.steps {
-            let ins = graph.in_neighbors(pos);
-            if ins.is_empty() {
-                break;
-            }
-            pos = ins[pick(step_u64(key, t as u32), ins.len())];
-            maps[t - 1].add(pos, 1);
-        }
-    }
     let mut counts = Vec::with_capacity(params.steps + 1);
     counts.push(vec![(source, params.walkers as u64)]);
-    counts.extend(maps.into_iter().map(|m| m.into_sorted_vec()));
+    counts.extend(reverse_walk_histograms_on(graph, source, 0..params.walkers, params.steps, seed));
     StepDistributions { source, walkers: params.walkers, counts }
+}
+
+/// The step-major cohort kernel over the walker range `walkers` of
+/// `source`'s cohort: the visit histograms after steps `1..=steps`, each
+/// sorted by node id in a `Vec` of exactly its distinct length.
+///
+/// Every live walker advances once per step before any walker takes the
+/// next, so the in-neighbour loads of different walkers are independent
+/// and their cache misses overlap; dead walkers are compacted out in
+/// place. Each step's histogram run-length counts the sorted positions.
+/// Counts are integer sums and walker `w`'s trajectory depends only on
+/// `(seed, source, w, step)`, so the result equals the walker-at-a-time
+/// sum of [`reverse_walk_path`] bit for bit — and a cohort split into
+/// walker ranges merges back to the whole cohort by adding counts.
+pub fn reverse_walk_histograms_on<G: WalkAdjacency>(
+    graph: &G,
+    source: NodeId,
+    walkers: Range<u32>,
+    steps: usize,
+    seed: u64,
+) -> Vec<Vec<(NodeId, u64)>> {
+    assert!(source < graph.node_count(), "source out of range");
+    let mut live: Vec<(NodeId, u64)> =
+        walkers.map(|w| (source, walker_key(seed, source, w))).collect();
+    let mut sorted: Vec<NodeId> = Vec::with_capacity(live.len());
+    let mut hists = Vec::with_capacity(steps);
+    for t in 1..=steps as u32 {
+        live.retain_mut(|(pos, key)| {
+            let ins = graph.in_neighbors(*pos);
+            if ins.is_empty() {
+                return false;
+            }
+            *pos = ins[pick(step_u64(*key, t), ins.len())];
+            true
+        });
+        sorted.clear();
+        sorted.extend(live.iter().map(|&(pos, _)| pos));
+        sorted.sort_unstable();
+        hists.push(run_lengths(&sorted));
+    }
+    hists
+}
+
+/// `(node, run length)` per run of equal ids in `sorted`, allocated at
+/// exactly the number of runs.
+fn run_lengths(sorted: &[NodeId]) -> Vec<(NodeId, u64)> {
+    let runs = sorted.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(!sorted.is_empty());
+    let mut hist = Vec::with_capacity(runs);
+    hist.extend(sorted.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u64)));
+    hist
 }
 
 /// The full trajectory of a single walker (positions after steps `1..=steps`;

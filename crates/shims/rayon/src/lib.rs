@@ -278,7 +278,13 @@ where
                     .expect("failed to spawn worker thread")
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+        // Re-raise a worker's panic with its own payload, as rayon does, so
+        // the caller sees the original message (and `should_panic` tests
+        // can match it) rather than an opaque join error.
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
     })
 }
 
